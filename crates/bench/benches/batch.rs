@@ -2,8 +2,8 @@
 //!
 //! The long-lived-stream workload: the `BENCH_stream.json` instance
 //! (100K tuples, 200 CFDs over 10 LHS sets, 2 CINDs) under 1% churn,
-//! applied five ways — the per-mutation `delete_tuple`/`insert_tuple`
-//! loop, `apply_deltas` windows of 1, 32 and 1024 mutations, and the
+//! applied five ways — the per-mutation `ValidatorStream::apply` loop,
+//! `apply_deltas` windows of 1, 32 and 1024 mutations, and the
 //! 1024-window plan against a 2×-redundant suite compiled through the
 //! exact Σ cover (`cover`). The batched path symbolizes each window
 //! through one interner pass, translates keys per `(relation, LHS set)`
@@ -287,9 +287,8 @@ fn main() {
                 ValidatorStream::new_validated(validator.clone(), db.clone());
             let (elapsed, ()) = time_once(|| {
                 if batch == 0 {
-                    for (del, ins) in deletions.iter().zip(&insertions) {
-                        stream.delete_tuple(r, del).expect("resident tuple");
-                        stream.insert_tuple(r, ins.clone()).expect("well-typed");
+                    for m in &muts {
+                        stream.apply(m.clone()).expect("well-typed");
                     }
                 } else {
                     for window in muts.chunks(batch) {
@@ -496,7 +495,7 @@ fn main() {
     compaction.text("retention", "churn-invariant");
     let compaction_json = compaction.to_json();
     let json = format!(
-        "{{\n  \"bench\": \"batch\",\n  \"baseline\": \"per-mutation delete_tuple/insert_tuple deltas (same binary)\",\n  \
+        "{{\n  \"bench\": \"batch\",\n  \"baseline\": \"per-mutation ValidatorStream::apply deltas (same binary)\",\n  \
          \"pre_hardening_baseline\": \"BENCH_stream.json per-mutation cost before this hardening pass: {PRE_HARDENING_SINGLE_US} us/op\",\n  \
          \"contender\": \"ValidatorStream::apply_deltas windows of 1/32/1024 mutations (same 1% churn plan)\",\n  \
          \"runs_per_point\": {runs},\n  \"timing\": \"best of {runs}\",\n  \

@@ -4,7 +4,7 @@
 //! under **churn** (interleaved deletes of resident tuples and inserts
 //! of fresh ones, 1% of the instance), monitored by the
 //! `ValidatorStream` delta engine. The contender applies every mutation
-//! through `delete_tuple` / `insert_tuple`, paying only for the
+//! through `ValidatorStream::apply`, paying only for the
 //! constraint groups and key groups each tuple touches; the baseline is
 //! what a batch system does after the same churn window — one full
 //! `Validator::validate` sweep of the final database.
@@ -24,7 +24,7 @@ use condep_bench::{best_of, ms, time_once, xorshift, FigureTable};
 use condep_cfd::NormalCfd;
 use condep_core::NormalCind;
 use condep_model::{tuple, Database, Domain, PValue, PatternRow, Schema, Tuple};
-use condep_validate::{Validator, ValidatorStream};
+use condep_validate::{Mutation, Validator, ValidatorStream};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
@@ -212,16 +212,19 @@ fn main() {
         let (elapsed, events) = time_once(|| {
             let mut events = 0usize;
             for (del, ins) in deletions.iter().zip(&insertions) {
-                let d1 = stream.delete_tuple(r, del).expect("resident tuple");
-                let d2 = stream.insert_tuple(r, ins.clone()).expect("well-typed");
-                events += d1.cfd.introduced.len()
-                    + d1.cfd.resolved.len()
-                    + d1.cind.introduced.len()
-                    + d1.cind.resolved.len()
-                    + d2.cfd.introduced.len()
-                    + d2.cfd.resolved.len()
-                    + d2.cind.introduced.len()
-                    + d2.cind.resolved.len();
+                for m in [
+                    Mutation::Delete {
+                        rel: r,
+                        tuple: del.clone(),
+                    },
+                    Mutation::Insert {
+                        rel: r,
+                        tuple: ins.clone(),
+                    },
+                ] {
+                    let applied = stream.apply(m).expect("well-typed");
+                    events += applied.introduced_count() + applied.resolved_count();
+                }
             }
             events
         });
@@ -291,7 +294,7 @@ fn main() {
     );
     let json = format!(
         "{{\n  \"bench\": \"stream\",\n  \"baseline\": \"Validator::validate full sweep of the churned database\",\n  \
-         \"contender\": \"ValidatorStream delete_tuple/insert_tuple deltas (1% churn: half deletes, half inserts)\",\n  \
+         \"contender\": \"ValidatorStream::apply deltas (1% churn: half deletes, half inserts)\",\n  \
          \"runs_per_point\": {runs},\n  \"timing\": \"best of {runs}\",\n  \
          \"headline\": {{\"tuples\": {n}, \"churn\": \"1%\", \"cfds\": 200, \"lhs_sets\": 10, \"cinds\": 2, \"speedup\": {speedup:.2}}},\n  \
          \"results\": [\n{json_rows}  ]\n}}\n",

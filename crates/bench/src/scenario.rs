@@ -72,8 +72,7 @@ pub enum ChurnSpec {
     /// No streaming pass.
     None,
     /// A generated insert/delete plan against the planted `fact`
-    /// relation ([`churn_plan`]); `window == 1` exercises the
-    /// single-mutation path, larger windows the batched path.
+    /// relation ([`churn_plan`]), ingested one window at a time.
     Plan(ChurnConfig),
     /// Delete-then-reinsert resident rows round-robin across relations
     /// — steady-state churn that works on any shape.
@@ -156,8 +155,8 @@ pub struct LatencySummary {
     pub max_us: u64,
     /// Samples recorded.
     pub count: u64,
-    /// Which histogram: `"window"` (batched) or `"mutation"`
-    /// (single-mutation schedules).
+    /// Which histogram the percentiles come from: always `"window"`,
+    /// the stream's one write path.
     pub source: &'static str,
 }
 
@@ -936,22 +935,7 @@ pub fn run_scenario(s: &Scenario) -> ScenarioResult {
         passes.push("churn");
         let t0 = Instant::now();
         for (w, window) in windows.iter().enumerate() {
-            if window.len() == 1 {
-                // Exercise the single-mutation path.
-                match window[0].clone() {
-                    Mutation::Insert { rel, tuple } => {
-                        monitor.insert(rel, tuple).expect("well-typed");
-                    }
-                    Mutation::Delete { rel, tuple } => {
-                        monitor.delete(rel, &tuple);
-                    }
-                    other => {
-                        monitor.ingest_batch(&[other]).expect("well-typed");
-                    }
-                }
-            } else {
-                monitor.ingest_batch(window).expect("well-typed");
-            }
+            monitor.ingest_batch(window).expect("well-typed");
             if s.sigma_churn_every > 0 && (w + 1) % s.sigma_churn_every == 0 {
                 monitor.retire_dependencies(&rotating, &[]);
                 sigma_churn.retires += 1;
@@ -975,24 +959,13 @@ pub fn run_scenario(s: &Scenario) -> ScenarioResult {
     }
 
     let health: HealthSnapshot = monitor.health();
-    let latency = if health.window_latency.count > 0 {
-        LatencySummary {
-            p50_us: health.window_latency.p50_us,
-            p90_us: health.window_latency.p90_us,
-            p99_us: health.window_latency.p99_us,
-            max_us: health.window_latency.max_us,
-            count: health.window_latency.count,
-            source: "window",
-        }
-    } else {
-        LatencySummary {
-            p50_us: health.mutation_latency.p50_us,
-            p90_us: health.mutation_latency.p90_us,
-            p99_us: health.mutation_latency.p99_us,
-            max_us: health.mutation_latency.max_us,
-            count: health.mutation_latency.count,
-            source: "mutation",
-        }
+    let latency = LatencySummary {
+        p50_us: health.window_latency.p50_us,
+        p90_us: health.window_latency.p90_us,
+        p99_us: health.window_latency.p99_us,
+        max_us: health.window_latency.max_us,
+        count: health.window_latency.count,
+        source: "window",
     };
     let telemetry_snapshot = health.metrics.clone();
     let counter_of = |name: &str| match telemetry_snapshot.get(name) {

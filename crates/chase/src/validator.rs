@@ -204,7 +204,7 @@ impl ChaseValidator {
     fn retract(&mut self, applied: Vec<Applied>) {
         for a in applied.into_iter().rev() {
             self.stream
-                .revert(a.revert)
+                .apply(a.revert)
                 .expect("restoring a previously valid tuple");
         }
     }

@@ -12,8 +12,32 @@
 //! `LHS(ψ) = X ∪ Xp`, `RHS(ψ) = Y ∪ Yp`; the paper separates the two
 //! parts of a pattern tuple with `‖`, which the `Display` impls mirror.
 
-use condep_model::{AttrId, PValue, PatternRow, RelId, RelationSchema, Schema, Value};
+use condep_model::{AttrId, ModelError, PValue, PatternRow, RelId, RelationSchema, Schema, Value};
 use std::fmt;
+
+fn malformed(why: &str) -> ModelError {
+    ModelError::MalformedCind(why.to_string())
+}
+
+/// The attribute-list conditions every CIND form shares: `|X| = |Y|`,
+/// and no attribute of `X` (`Y`) also in `Xp` (`Yp`).
+fn check_lists(
+    x: &[AttrId],
+    y: &[AttrId],
+    in_xp: impl Fn(&AttrId) -> bool,
+    in_yp: impl Fn(&AttrId) -> bool,
+) -> condep_model::Result<()> {
+    if x.len() != y.len() {
+        return Err(malformed("|X| must equal |Y|"));
+    }
+    if x.iter().any(in_xp) {
+        return Err(malformed("X and Xp must be disjoint"));
+    }
+    if y.iter().any(in_yp) {
+        return Err(malformed("Y and Yp must be disjoint"));
+    }
+    Ok(())
+}
 
 /// A conditional inclusion dependency in general form (possibly many
 /// pattern rows).
@@ -32,6 +56,11 @@ pub struct Cind {
 impl Cind {
     /// Creates a CIND, checking the well-formedness conditions of
     /// Section 2 (disjointness, matched arity, row width, `tp[X] = tp[Y]`).
+    ///
+    /// # Panics
+    ///
+    /// On a malformed CIND; [`Cind::parse`] reports the same checks as
+    /// an error instead.
     pub fn new(
         lhs_rel: RelId,
         rhs_rel: RelId,
@@ -41,31 +70,30 @@ impl Cind {
         yp: Vec<AttrId>,
         tableau: Vec<PatternRow>,
     ) -> Self {
-        assert_eq!(x.len(), y.len(), "|X| must equal |Y|");
-        assert!(
-            x.iter().all(|a| !xp.contains(a)),
-            "X and Xp must be disjoint"
-        );
-        assert!(
-            y.iter().all(|a| !yp.contains(a)),
-            "Y and Yp must be disjoint"
-        );
+        Cind::checked(lhs_rel, rhs_rel, x, xp, y, yp, tableau).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Cind::new`]'s checks, as a `Result`.
+    fn checked(
+        lhs_rel: RelId,
+        rhs_rel: RelId,
+        x: Vec<AttrId>,
+        xp: Vec<AttrId>,
+        y: Vec<AttrId>,
+        yp: Vec<AttrId>,
+        tableau: Vec<PatternRow>,
+    ) -> condep_model::Result<Self> {
+        check_lists(&x, &y, |a| xp.contains(a), |a| yp.contains(a))?;
         let width = x.len() + xp.len() + y.len() + yp.len();
         for row in &tableau {
-            assert_eq!(
-                row.len(),
-                width,
-                "tableau row width must be |X|+|Xp|+|Y|+|Yp|"
-            );
-            for i in 0..x.len() {
-                assert_eq!(
-                    row.cell(i),
-                    row.cell(x.len() + xp.len() + i),
-                    "pattern rows must satisfy tp[X] = tp[Y]"
-                );
+            if row.len() != width {
+                return Err(malformed("tableau row width must be |X|+|Xp|+|Y|+|Yp|"));
+            }
+            if (0..x.len()).any(|i| row.cell(i) != row.cell(x.len() + xp.len() + i)) {
+                return Err(malformed("pattern rows must satisfy tp[X] = tp[Y]"));
             }
         }
-        Cind {
+        Ok(Cind {
             lhs_rel,
             rhs_rel,
             x,
@@ -73,7 +101,7 @@ impl Cind {
             y,
             yp,
             tableau,
-        }
+        })
     }
 
     /// The traditional IND `R1[X] ⊆ R2[Y]` as a CIND: empty `Xp`/`Yp` and
@@ -99,7 +127,7 @@ impl Cind {
         let r = schema.rel_id(rhs_rel)?;
         let ls = schema.relation(l)?;
         let rs = schema.relation(r)?;
-        Ok(Cind::new(
+        Cind::checked(
             l,
             r,
             ls.attr_ids(x)?,
@@ -107,7 +135,7 @@ impl Cind {
             rs.attr_ids(y)?,
             rs.attr_ids(yp)?,
             tableau,
-        ))
+        )
     }
 
     /// The source relation `R1`.
@@ -249,6 +277,11 @@ pub struct NormalCind {
 
 impl NormalCind {
     /// Creates a normal-form CIND.
+    ///
+    /// # Panics
+    ///
+    /// When `|X| ≠ |Y|` or `X`/`Xp` or `Y`/`Yp` overlap;
+    /// [`NormalCind::parse`] reports the same checks as an error instead.
     pub fn new(
         lhs_rel: RelId,
         rhs_rel: RelId,
@@ -257,23 +290,32 @@ impl NormalCind {
         xp: Vec<(AttrId, Value)>,
         yp: Vec<(AttrId, Value)>,
     ) -> Self {
-        assert_eq!(x.len(), y.len(), "|X| must equal |Y|");
-        assert!(
-            x.iter().all(|a| !xp.iter().any(|(b, _)| b == a)),
-            "X and Xp must be disjoint"
-        );
-        assert!(
-            y.iter().all(|a| !yp.iter().any(|(b, _)| b == a)),
-            "Y and Yp must be disjoint"
-        );
-        NormalCind {
+        NormalCind::checked(lhs_rel, rhs_rel, x, y, xp, yp).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`NormalCind::new`]'s checks, as a `Result`.
+    fn checked(
+        lhs_rel: RelId,
+        rhs_rel: RelId,
+        x: Vec<AttrId>,
+        y: Vec<AttrId>,
+        xp: Vec<(AttrId, Value)>,
+        yp: Vec<(AttrId, Value)>,
+    ) -> condep_model::Result<Self> {
+        check_lists(
+            &x,
+            &y,
+            |a| xp.iter().any(|(b, _)| b == a),
+            |a| yp.iter().any(|(b, _)| b == a),
+        )?;
+        Ok(NormalCind {
             lhs_rel,
             rhs_rel,
             x,
             y,
             xp,
             yp,
-        }
+        })
     }
 
     /// Name-resolving constructor.
@@ -298,14 +340,7 @@ impl NormalCind {
             .iter()
             .map(|(n, v)| Ok((rs.attr_id(n)?, v.clone())))
             .collect::<condep_model::Result<Vec<_>>>()?;
-        Ok(NormalCind::new(
-            l,
-            r,
-            ls.attr_ids(x)?,
-            rs.attr_ids(y)?,
-            xp,
-            yp,
-        ))
+        NormalCind::checked(l, r, ls.attr_ids(x)?, rs.attr_ids(y)?, xp, yp)
     }
 
     /// The source relation `R1`.

@@ -317,6 +317,28 @@ impl Parser {
         self.expect(Tok::Semi)?;
         let yp = self.attr_names()?;
         self.expect(Tok::RBracket)?;
+        fn as_refs(v: &[String]) -> Vec<&str> {
+            v.iter().map(String::as_str).collect()
+        }
+        let build = |tableau| {
+            Cind::parse(
+                schema,
+                &lhs_rel,
+                &as_refs(&x),
+                &as_refs(&xp),
+                &rhs_rel,
+                &as_refs(&y),
+                &as_refs(&yp),
+                tableau,
+            )
+            .map_err(|e| ParseError {
+                message: e.to_string(),
+                pos,
+            })
+        };
+        // Check the attribute lists (names, |X| = |Y|, disjointness)
+        // before reading rows: the per-row checks below assume them.
+        build(Vec::new())?;
         self.expect(Tok::LBrace)?;
         let lhs_width = x.len() + xp.len();
         let rhs_width = y.len() + yp.len();
@@ -355,38 +377,7 @@ impl Parser {
             tableau.push(PatternRow::new(l.into_iter().chain(r)));
         }
         self.expect(Tok::RBrace)?;
-        fn as_refs(v: &[String]) -> Vec<&str> {
-            v.iter().map(String::as_str).collect()
-        }
-        // Cind::parse panics on malformed lists (duplicate attributes in
-        // X ∪ Xp etc.); catch that as a positioned error.
-        let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Cind::parse(
-                schema,
-                &lhs_rel,
-                &as_refs(&x),
-                &as_refs(&xp),
-                &rhs_rel,
-                &as_refs(&y),
-                &as_refs(&yp),
-                tableau,
-            )
-        }));
-        match built {
-            Ok(Ok(cind)) => Ok((name, cind)),
-            Ok(Err(e)) => Err(ParseError {
-                message: e.to_string(),
-                pos,
-            }),
-            Err(panic) => {
-                let message = panic
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "malformed CIND".to_string());
-                Err(ParseError { message, pos })
-            }
-        }
+        Ok((name, build(tableau)?))
     }
 }
 
@@ -588,6 +579,22 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.message.contains("tp[X]"));
+        // An attribute in both X and Xp, and |X| != |Y|: positioned
+        // errors from the CIND constructor, not panics.
+        let err = parse_document(
+            "relation r(a: string, b: string);\n\
+             cind r[a; a] subset r[b;] { (_, x || _); }",
+        )
+        .unwrap_err();
+        assert!(err.message.contains("disjoint"), "{err}");
+        assert_eq!((err.pos.line, err.pos.col), (2, 6));
+        let err = parse_document(
+            "relation r(a: string, b: string);\n\
+             cind r[a, b;] subset r[b;] { (_, _ || _); }",
+        )
+        .unwrap_err();
+        assert!(err.message.contains("|X| must equal |Y|"), "{err}");
+        assert_eq!((err.pos.line, err.pos.col), (2, 6));
     }
 
     #[test]

@@ -846,7 +846,11 @@ mod tests {
         for (rel, inst) in out.db.iter() {
             for t in inst.iter() {
                 if deleted < 4 && !dirty_keys.contains(&(rel, t.clone())) {
-                    stream.delete_tuple(rel, t).expect("resident");
+                    let applied = stream.apply(condep_validate::Mutation::Delete {
+                        rel,
+                        tuple: t.clone(),
+                    });
+                    assert!(!applied.unwrap().is_noop(), "resident");
                     deleted += 1;
                 }
             }

@@ -47,6 +47,10 @@ pub enum ModelError {
     },
     /// A relation id is out of range for the schema.
     RelOutOfRange(usize),
+    /// A CIND violates a well-formedness condition of Section 2
+    /// (`|X| = |Y|`, disjoint `X`/`Xp` and `Y`/`Yp`, row width,
+    /// `tp[X] = tp[Y]`).
+    MalformedCind(String),
 }
 
 impl fmt::Display for ModelError {
@@ -84,6 +88,7 @@ impl fmt::Display for ModelError {
             ModelError::RelOutOfRange(i) => {
                 write!(f, "relation index {i} out of range for schema")
             }
+            ModelError::MalformedCind(why) => write!(f, "malformed CIND: {why}"),
         }
     }
 }

@@ -213,7 +213,7 @@ pub fn repair(
                 // retract it and try the next candidate.
                 let revert = applied.revert.expect("non-noop mutation has a revert");
                 stream
-                    .revert(revert)
+                    .apply(revert)
                     .expect("revert of a just-applied mutation cannot fail");
                 log.rejected += 1;
                 rejected_fixes.incr();

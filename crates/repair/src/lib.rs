@@ -31,8 +31,8 @@
 //!   is applied via [`condep_validate::ValidatorStream::apply`], its
 //!   [`condep_validate::SigmaDelta`]s are inspected, and it is kept
 //!   only when strictly net-negative (resolves more than it
-//!   introduces); otherwise it is rolled back through
-//!   [`condep_validate::ValidatorStream::revert`]. The violation count
+//!   introduces); otherwise it is rolled back by applying its
+//!   [`condep_validate::Applied::revert`]. The violation count
 //!   therefore decreases monotonically, and the fixpoint loop
 //!   terminates within the cascade budget ([`RepairBudget`]).
 //!

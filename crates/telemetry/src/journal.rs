@@ -14,8 +14,8 @@ use crate::snapshot::{Export, MetricsSnapshot};
 /// One unit of stream activity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StreamEvent {
-    /// One `apply_deltas` window (or a single-mutation call: a window
-    /// of one) finished.
+    /// One `apply_deltas` window (an `apply` call is a window of one)
+    /// finished.
     Window {
         /// Mutations applied (no-ops excluded).
         mutations: u32,

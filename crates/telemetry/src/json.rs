@@ -168,21 +168,12 @@ pub fn escape_into(s: &str, out: &mut String) {
     }
 }
 
-/// Checks that `s` is one syntactically valid JSON value.
-///
-/// A strict recursive-descent pass over the RFC 8259 grammar —
-/// no value materialization, no number range checks. Used by tests
-/// and the smoke bench to assert that hand-assembled reports parse.
+/// Checks that `s` is one syntactically valid JSON value: exactly the
+/// documents [`parse`] accepts (which also rejects lone UTF-16
+/// surrogates in `\u` escapes). Used by tests and the smoke bench to
+/// assert that hand-assembled reports parse.
 pub fn is_valid(s: &str) -> bool {
-    let b = s.as_bytes();
-    let mut at = skip_ws(b, 0);
-    match value(b, at) {
-        Some(end) => {
-            at = skip_ws(b, end);
-            at == b.len()
-        }
-        None => false,
-    }
+    parse(s).is_some()
 }
 
 fn skip_ws(b: &[u8], mut at: usize) -> usize {
@@ -192,63 +183,11 @@ fn skip_ws(b: &[u8], mut at: usize) -> usize {
     at
 }
 
-/// Parses one JSON value starting at `at`; returns the index just past it.
-fn value(b: &[u8], at: usize) -> Option<usize> {
-    match b.get(at)? {
-        b'{' => object(b, at),
-        b'[' => array(b, at),
-        b'"' => string(b, at),
-        b't' => literal(b, at, b"true"),
-        b'f' => literal(b, at, b"false"),
-        b'n' => literal(b, at, b"null"),
-        b'-' | b'0'..=b'9' => number(b, at),
-        _ => None,
-    }
-}
-
 fn literal(b: &[u8], at: usize, lit: &[u8]) -> Option<usize> {
     if b.len() >= at + lit.len() && &b[at..at + lit.len()] == lit {
         Some(at + lit.len())
     } else {
         None
-    }
-}
-
-fn object(b: &[u8], at: usize) -> Option<usize> {
-    let mut at = skip_ws(b, at + 1);
-    if b.get(at) == Some(&b'}') {
-        return Some(at + 1);
-    }
-    loop {
-        at = string(b, at)?;
-        at = skip_ws(b, at);
-        if b.get(at) != Some(&b':') {
-            return None;
-        }
-        at = skip_ws(b, at + 1);
-        at = value(b, at)?;
-        at = skip_ws(b, at);
-        match b.get(at)? {
-            b',' => at = skip_ws(b, at + 1),
-            b'}' => return Some(at + 1),
-            _ => return None,
-        }
-    }
-}
-
-fn array(b: &[u8], at: usize) -> Option<usize> {
-    let mut at = skip_ws(b, at + 1);
-    if b.get(at) == Some(&b']') {
-        return Some(at + 1);
-    }
-    loop {
-        at = value(b, at)?;
-        at = skip_ws(b, at);
-        match b.get(at)? {
-            b',' => at = skip_ws(b, at + 1),
-            b']' => return Some(at + 1),
-            _ => return None,
-        }
     }
 }
 
@@ -385,8 +324,9 @@ impl JsonValue {
 
 /// Parses `s` into a [`JsonValue`] tree (`None` on any syntax error).
 ///
-/// Accepts exactly the grammar [`is_valid`] accepts; the scoreboard
-/// diff uses this to materialize two reports and walk them key by key.
+/// A strict recursive-descent pass over the RFC 8259 grammar (no number
+/// range checks); the scoreboard diff uses this to materialize two
+/// reports and walk them key by key.
 pub fn parse(s: &str) -> Option<JsonValue> {
     let b = s.as_bytes();
     let at = skip_ws(b, 0);
@@ -565,6 +505,7 @@ mod tests {
             "nulll",
             "[1] trailing",
             "NaN",
+            "\"\\uD800\"",
         ] {
             assert!(!is_valid(bad), "should be invalid: {bad}");
         }

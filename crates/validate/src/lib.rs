@@ -25,29 +25,31 @@
 //!   [`std::thread::scope`] (small instances stay single-threaded);
 //! * [`ValidatorStream`] is the **delta engine**: it keeps the group
 //!   indexes (plus reverse CIND source indexes) live together with the
-//!   materialized violation set, and every
-//!   insert / delete / update returns a [`SigmaDelta`] — the violations
-//!   the mutation introduced *and* the violations it resolved
-//!   (retraction) — in time proportional to the constraint groups and
-//!   key groups the tuple touches, never to the database. Open one with
+//!   materialized violation set. Every write is a batch of value-level
+//!   [`Mutation`]s through [`ValidatorStream::apply_deltas`] (or one
+//!   through [`ValidatorStream::apply`], which also returns its
+//!   inverse), and every effective insert or delete streams a
+//!   [`SigmaDelta`] — the violations it introduced *and* the
+//!   violations it resolved (retraction) — in time proportional to the
+//!   constraint groups and key groups the tuple touches, never to the
+//!   database. Open one with
 //!   [`ValidatorStream::new_validated`] (which also reports the seed
 //!   database's initial violations) or seed a known report with
 //!   [`ValidatorStream::with_report`];
 //! * the stream is built for **whole-life monitoring**:
 //!   [`condep_model::TupleId`] handles address tuples stably across the
 //!   swap renumbering deletions cause (every delta carries its
-//!   [`IdDelta`] bookkeeping), [`ValidatorStream::apply_deltas`]
-//!   amortizes interner and key-translation work across a mutation
-//!   batch, and [`ValidatorStream::compact`] reclaims everything churn
-//!   leaves behind — emptied key groups, dead interned strings, retired
-//!   id slots — without disturbing a single live key, violation or id.
+//!   [`IdDelta`] bookkeeping), and [`ValidatorStream::compact`]
+//!   reclaims everything churn leaves behind — emptied key groups, dead
+//!   interned strings, retired id slots — without disturbing a single
+//!   live key, violation or id.
 //!
 //! Results are identical (as sets, and after [`SigmaReport::sort`] even
 //! in order) to running `condep_cfd::find_violations` /
 //! `condep_core::find_violations` per constraint, and
 //! [`ValidatorStream::current_report`] stays equal to a fresh
 //! [`Validator::validate_sorted`] across arbitrary mutation sequences —
-//! single, batched or interleaved with compactions — all
+//! batches of any size, interleaved with compactions — all
 //! property-tested at the workspace root.
 
 pub mod cover;
@@ -76,8 +78,29 @@ mod tests {
     use condep_core::fixtures as cind_fx;
     use condep_core::normalize::normalize_all as normalize_cinds;
     use condep_model::fixtures::{bank_database, clean_bank_database};
-    use condep_model::{prow, tuple, Database, Domain, PValue, Schema};
+    use condep_model::{prow, tuple, Database, Domain, ModelError, PValue, RelId, Schema, Tuple};
     use std::sync::Arc;
+
+    /// One insert through the stream's write path; a no-op yields the
+    /// quiet default delta.
+    fn insert(s: &mut ValidatorStream, rel: RelId, tuple: Tuple) -> Result<SigmaDelta, ModelError> {
+        Ok(s.apply(Mutation::Insert { rel, tuple })?
+            .deltas
+            .pop()
+            .unwrap_or_default())
+    }
+
+    /// One delete through the stream's write path; `None` when the tuple
+    /// is absent.
+    fn delete(s: &mut ValidatorStream, rel: RelId, tuple: &Tuple) -> Option<SigmaDelta> {
+        s.apply(Mutation::Delete {
+            rel,
+            tuple: tuple.clone(),
+        })
+        .expect("a delete is never ill-typed")
+        .deltas
+        .pop()
+    }
 
     fn bank_validator() -> Validator {
         Validator::new(
@@ -244,16 +267,22 @@ mod tests {
         let (mut stream, initial) = ValidatorStream::new_validated(v, db);
         assert!(initial.is_empty(), "the clean seed has no violations");
         // A clean tuple: UK checking at the mandated 1.5%.
-        let clean = stream
-            .insert_tuple(interest, tuple!["GLA", "UK", "checking", "1.5%"])
-            .unwrap();
+        let clean = insert(
+            &mut stream,
+            interest,
+            tuple!["GLA", "UK", "checking", "1.5%"],
+        )
+        .unwrap();
         assert!(clean.is_quiet(), "clean insert must be quiet: {clean:?}");
         // A dirty tuple: UK checking at the wrong rate. Both normal
         // forms of ϕ3 fire: the constant row (single-tuple mismatch)
         // and the wildcard FD row (pair against a resident 1.5% tuple).
-        let dirty = stream
-            .insert_tuple(interest, tuple!["GLA", "UK", "checking", "9.9%"])
-            .unwrap();
+        let dirty = insert(
+            &mut stream,
+            interest,
+            tuple!["GLA", "UK", "checking", "9.9%"],
+        )
+        .unwrap();
         assert_eq!(dirty.cfd.introduced.len(), 2, "unexpected: {dirty:?}");
         assert!(dirty.cfd.resolved.is_empty());
         assert!(dirty.cfd.introduced.iter().any(|(_, v)| matches!(
@@ -267,14 +296,20 @@ mod tests {
             .iter()
             .any(|(_, v)| matches!(v, CfdViolation::Pair { .. })));
         // Re-inserting an existing tuple is a set-semantics no-op.
-        let dup = stream
-            .insert_tuple(interest, tuple!["GLA", "UK", "checking", "9.9%"])
-            .unwrap();
+        let dup = insert(
+            &mut stream,
+            interest,
+            tuple!["GLA", "UK", "checking", "9.9%"],
+        )
+        .unwrap();
         assert!(dup.is_quiet());
         // Deleting the dirty tuple retracts exactly what it introduced.
-        let gone = stream
-            .delete_tuple(interest, &tuple!["GLA", "UK", "checking", "9.9%"])
-            .unwrap();
+        let gone = delete(
+            &mut stream,
+            interest,
+            &tuple!["GLA", "UK", "checking", "9.9%"],
+        )
+        .unwrap();
         assert_eq!(gone.resolved(), dirty.introduced());
         assert!(gone.cfd.introduced.is_empty());
         assert_eq!(stream.violation_count(), 0);
@@ -309,16 +344,16 @@ mod tests {
         let dst = schema.rel_id("dst").unwrap();
         let v = Validator::new(vec![], vec![cind]);
         let (mut stream, _) = ValidatorStream::new_validated(v, Database::empty(schema));
-        stream.insert_tuple(src, tuple!["k", "v1"]).unwrap();
-        stream.insert_tuple(src, tuple!["k", "v2"]).unwrap();
+        insert(&mut stream, src, tuple!["k", "v1"]).unwrap();
+        insert(&mut stream, src, tuple!["k", "v2"]).unwrap();
         // Two orphans; the arriving partner resolves both.
         assert_eq!(stream.violation_count(), 2);
-        let arrival = stream.insert_tuple(dst, tuple!["k"]).unwrap();
+        let arrival = insert(&mut stream, dst, tuple!["k"]).unwrap();
         assert_eq!(arrival.cind.resolved.len(), 2, "{arrival:?}");
         assert!(arrival.cind.introduced.is_empty());
         assert_eq!(stream.violation_count(), 0);
         // Deleting the only partner re-orphans both sources.
-        let gone = stream.delete_tuple(dst, &tuple!["k"]).unwrap();
+        let gone = delete(&mut stream, dst, &tuple!["k"]).unwrap();
         assert_eq!(gone.cind.introduced.len(), 2, "{gone:?}");
         assert_eq!(stream.violation_count(), 2);
         assert_eq!(
@@ -356,7 +391,7 @@ mod tests {
         assert_eq!(initial.cfd.len(), 2, "{initial:?}");
         // Deleting pos 0 swaps ("k","v2") from 2 → 0; it becomes the
         // group's lowest position, so the pair witness relabels too.
-        let delta = stream.delete_tuple(r, &tuple!["x", "q"]).unwrap();
+        let delta = delete(&mut stream, r, &tuple!["x", "q"]).unwrap();
         let moved = delta.moved.expect("a swap happened");
         assert_eq!((moved.from, moved.to), (2, 0));
         let batch = stream.validator().validate_sorted(stream.db());
@@ -385,24 +420,48 @@ mod tests {
         let v = Validator::new(vec![fd], vec![]);
         let (mut stream, initial) = ValidatorStream::new_validated(v, db);
         assert_eq!(initial.len(), 1);
-        // Repair the conflict: the pair resolves, nothing new appears.
-        let (del, ins) = stream
-            .update_tuple(r, &tuple!["k", "v"], tuple!["k", "u"])
-            .unwrap()
+        // Repair the conflict: `new` is resident, so the update merges
+        // into one delete delta and the pair resolves.
+        let merged = stream
+            .apply(Mutation::Update {
+                rel: r,
+                old: tuple!["k", "v"],
+                new: tuple!["k", "u"],
+            })
             .unwrap();
-        assert_eq!(del.cfd.resolved.len(), 1);
-        assert!(ins.is_quiet());
+        assert_eq!(merged.deltas.len(), 1);
+        assert_eq!(merged.deltas[0].cfd.resolved.len(), 1);
         assert_eq!(stream.violation_count(), 0);
+        // An update to a fresh tuple streams its delete and insert
+        // deltas in order.
+        let moved = stream
+            .apply(Mutation::Update {
+                rel: r,
+                old: tuple!["k", "u"],
+                new: tuple!["j", "u"],
+            })
+            .unwrap();
+        assert_eq!(moved.deltas.len(), 2);
+        assert!(moved.deltas[0].ids.retired.is_some());
+        assert!(moved.deltas[1].ids.born.is_some());
         // A domain-violating replacement fails up front, stream intact.
         assert!(stream
-            .update_tuple(r, &tuple!["k", "u"], tuple!["k", "zzz"])
+            .apply(Mutation::Update {
+                rel: r,
+                old: tuple!["j", "u"],
+                new: tuple!["k", "zzz"],
+            })
             .is_err());
         assert_eq!(stream.db().total_tuples(), 1);
-        // Updating an absent tuple is None.
+        // Updating an absent tuple is a no-op.
         assert!(stream
-            .update_tuple(r, &tuple!["nope", "u"], tuple!["k", "v"])
+            .apply(Mutation::Update {
+                rel: r,
+                old: tuple!["nope", "u"],
+                new: tuple!["k", "v"],
+            })
             .unwrap()
-            .is_none());
+            .is_noop());
         assert_eq!(
             stream.current_report(),
             stream.validator().validate_sorted(stream.db()),
@@ -425,16 +484,16 @@ mod tests {
         let v = Validator::new(vec![fd], vec![cind]);
         let (mut stream, _) = ValidatorStream::new_validated(v, Database::empty(schema));
         // Source tuple with no partner: CIND violation.
-        let r1 = stream.insert_tuple(src, tuple!["k", "v1"]).unwrap();
+        let r1 = insert(&mut stream, src, tuple!["k", "v1"]).unwrap();
         assert_eq!(r1.cind.introduced.len(), 1);
         assert!(r1.cfd.is_quiet());
         // Provide the partner: the orphaned source resolves.
-        let r2 = stream.insert_tuple(dst, tuple!["k"]).unwrap();
+        let r2 = insert(&mut stream, dst, tuple!["k"]).unwrap();
         assert!(r2.cind.introduced.is_empty());
         assert_eq!(r2.cind.resolved.len(), 1);
         // A second source tuple with the same key but different b:
         // wildcard pair against the resident; partner now exists.
-        let r3 = stream.insert_tuple(src, tuple!["k", "v2"]).unwrap();
+        let r3 = insert(&mut stream, src, tuple!["k", "v2"]).unwrap();
         assert_eq!(
             r3.cfd.introduced,
             vec![(0, CfdViolation::Pair { left: 0, right: 1 })]
@@ -504,10 +563,10 @@ mod tests {
         // must stay quiet.
         let (mut stream, initial) = ValidatorStream::new_validated(v, db);
         assert_eq!(initial, before);
-        let quiet = stream.insert_tuple(r, tuple!["k", "v1", "x2"]).unwrap();
+        let quiet = insert(&mut stream, r, tuple!["k", "v1", "x2"]).unwrap();
         assert!(quiet.is_quiet(), "delta must be quiet: {quiet:?}");
         // Disagrees with the first tuple: exactly the pair batch adds.
-        let noisy = stream.insert_tuple(r, tuple!["k", "v3", "x3"]).unwrap();
+        let noisy = insert(&mut stream, r, tuple!["k", "v3", "x3"]).unwrap();
         assert_eq!(
             noisy.cfd.introduced,
             vec![(0, CfdViolation::Pair { left: 0, right: 3 })]
@@ -534,62 +593,19 @@ mod tests {
         let r = schema.rel_id("r").unwrap();
         let v = Validator::new(vec![], vec![cind]);
         let (mut stream, _) = ValidatorStream::new_validated(v, Database::empty(schema));
-        let ok = stream.insert_tuple(r, tuple!["x", "x"]).unwrap();
+        let ok = insert(&mut stream, r, tuple!["x", "x"]).unwrap();
         assert!(ok.is_quiet(), "self-partnered tuple must be quiet: {ok:?}");
-        let miss = stream.insert_tuple(r, tuple!["y", "z"]).unwrap();
+        let miss = insert(&mut stream, r, tuple!["y", "z"]).unwrap();
         assert_eq!(miss.cind.introduced.len(), 1);
         // Deleting the self-partnered tuple must not report it as its
         // own orphan (it leaves together with its partner).
-        let gone = stream.delete_tuple(r, &tuple!["x", "x"]).unwrap();
+        let gone = delete(&mut stream, r, &tuple!["x", "x"]).unwrap();
         assert!(gone.cind.resolved.is_empty(), "{gone:?}");
         assert!(gone.cind.introduced.is_empty(), "{gone:?}");
         assert_eq!(
             stream.current_report(),
             stream.validator().validate_sorted(stream.db()),
         );
-    }
-
-    #[test]
-    fn apply_delta_tracks_current_report_across_mutations() {
-        // The consumer rule, unit-tested against the stream's own
-        // materialization: feed every delta of a mixed mutation sequence
-        // through SigmaReport::apply_delta and compare after each step.
-        let v = bank_validator();
-        let (mut stream, mut mirror) = ValidatorStream::new_validated(v, bank_database());
-        let interest = stream.db().schema().rel_id("interest").unwrap();
-        let saving = stream.db().schema().rel_id("saving").unwrap();
-        let mutations: Vec<Mutation> = vec![
-            Mutation::Insert {
-                rel: interest,
-                tuple: tuple!["GLA", "UK", "checking", "9.9%"],
-            },
-            // Delete a low-position tuple: exercises the swap renumber.
-            Mutation::Delete {
-                rel: interest,
-                tuple: tuple!["EDI", "UK", "checking", "10.5%"],
-            },
-            Mutation::Update {
-                rel: interest,
-                old: tuple!["GLA", "UK", "checking", "9.9%"],
-                new: tuple!["GLA", "UK", "checking", "1.5%"],
-            },
-            Mutation::Delete {
-                rel: saving,
-                tuple: tuple!["01", "J. Smith", "NYC, 19087", "212-5820844", "NYC"],
-            },
-        ];
-        for m in mutations {
-            let applied = stream.apply(m.clone()).unwrap();
-            assert!(!applied.is_noop(), "mutation must not be a no-op: {m:?}");
-            for delta in &applied.deltas {
-                mirror.apply_delta(stream.validator(), delta);
-            }
-            assert_eq!(
-                mirror,
-                stream.current_report(),
-                "consumer rule diverged after {m:?}"
-            );
-        }
     }
 
     #[test]
@@ -647,7 +663,7 @@ mod tests {
         for m in cases {
             let applied = stream.apply(m.clone()).unwrap();
             let revert = applied.revert.clone().expect("not a no-op");
-            stream.revert(revert).unwrap();
+            assert!(!stream.apply(revert).unwrap().is_noop());
             assert_restored(&stream, &m);
         }
         // An update onto a resident tuple merges (set semantics); its
@@ -662,7 +678,14 @@ mod tests {
         };
         let applied = stream.apply(merge.clone()).unwrap();
         assert_eq!(stream.db().total_tuples(), before.total_tuples() - 1);
-        stream.revert(applied.revert.unwrap()).unwrap();
+        assert_eq!(
+            applied.revert,
+            Some(Mutation::Insert {
+                rel: interest,
+                tuple: old.clone(),
+            })
+        );
+        stream.apply(applied.revert.unwrap()).unwrap();
         assert!(stream.db().relation(interest).contains(&old));
         assert!(stream.db().relation(interest).contains(&new));
         assert_restored(&stream, &merge);
@@ -677,9 +700,12 @@ mod tests {
         // The seeded stream is a full delta engine: mutate and compare
         // against a fresh batch sweep.
         let interest = db.schema().rel_id("interest").unwrap();
-        stream
-            .insert_tuple(interest, tuple!["GLA", "UK", "checking", "9.9%"])
-            .unwrap();
+        insert(
+            &mut stream,
+            interest,
+            tuple!["GLA", "UK", "checking", "9.9%"],
+        )
+        .unwrap();
         assert_eq!(
             stream.current_report(),
             stream.validator().validate_sorted(stream.db())
@@ -697,9 +723,9 @@ mod tests {
         let r = schema.rel_id("r").unwrap();
         let v = Validator::new(vec![cfd], vec![]);
         let (mut stream, _) = ValidatorStream::new_validated(v, Database::empty(schema));
-        stream.insert_tuple(r, tuple!["a", "x"]).unwrap();
-        stream.insert_tuple(r, tuple!["b", "y"]).unwrap();
-        stream.insert_tuple(r, tuple!["a", "z"]).unwrap();
+        insert(&mut stream, r, tuple!["a", "x"]).unwrap();
+        insert(&mut stream, r, tuple!["b", "y"]).unwrap();
+        insert(&mut stream, r, tuple!["a", "z"]).unwrap();
         let class = stream.cfd_violation_class(0, &tuple!["a", "x"]);
         assert_eq!(class, vec![0, 2], "both k=a tuples, position-sorted");
         assert_eq!(stream.cfd_violation_class(0, &tuple!["b", "y"]), vec![1]);
@@ -737,8 +763,8 @@ mod tests {
         for round in 0..5u32 {
             for i in 0..40u32 {
                 let t = tuple![format!("churn{round}_{i}").as_str(), "y"];
-                stream.insert_tuple(src, t.clone()).unwrap();
-                stream.delete_tuple(src, &t).unwrap();
+                insert(&mut stream, src, t.clone()).unwrap();
+                delete(&mut stream, src, &t).unwrap();
             }
             let stats = stream.compact();
             assert!(
@@ -758,9 +784,9 @@ mod tests {
         assert_eq!(stream.compact().key_groups_dropped, 0);
 
         // The compacted stream is still a correct delta engine.
-        let noisy = stream.insert_tuple(src, tuple!["resident", "z"]).unwrap();
+        let noisy = insert(&mut stream, src, tuple!["resident", "z"]).unwrap();
         assert_eq!(noisy.cfd.introduced.len(), 1, "{noisy:?}");
-        let orphan = stream.insert_tuple(src, tuple!["lonely", "w"]).unwrap();
+        let orphan = insert(&mut stream, src, tuple!["lonely", "w"]).unwrap();
         assert_eq!(orphan.cind.introduced.len(), 1, "{orphan:?}");
         assert_eq!(
             stream.current_report(),
@@ -885,7 +911,7 @@ mod tests {
         let v = Validator::new(vec![], vec![cind]);
         let (mut stream, _) = ValidatorStream::new_validated(v.clone(), Database::empty(schema));
         // Non-triggering (b ≠ "go"): its `a` cell is never interned.
-        stream.insert_tuple(r, tuple!["orphan", "stop"]).unwrap();
+        insert(&mut stream, r, tuple!["orphan", "stop"]).unwrap();
         // Batch update of the resident non-triggering tuple.
         let deltas = stream
             .apply_deltas(&[Mutation::Update {
@@ -936,19 +962,22 @@ mod tests {
         // tuple, and the retired id resolves to None forever.
         let t0 = stream.db().relation(interest).get(0).unwrap().clone();
         let id0 = stream.tuple_id_at(interest, 0).unwrap();
-        let delta = stream.delete_tuple(interest, &t0).unwrap();
+        let delta = delete(&mut stream, interest, &t0).unwrap();
         assert_eq!(delta.ids.retired, Some(id0));
         assert_eq!(delta.ids.moved, stream.tuple_id_at(interest, 0));
         assert!(delta.ids.moved.is_some());
         assert_eq!(stream.position_of(interest, id0), None);
         assert_eq!(stream.tuple_by_id(interest, id3), Some(&t3));
         // An insert allocates a fresh id (never a recycled one).
-        let born = stream
-            .insert_tuple(interest, tuple!["GLA", "UK", "checking", "1.5%"])
-            .unwrap()
-            .ids
-            .born
-            .unwrap();
+        let born = insert(
+            &mut stream,
+            interest,
+            tuple!["GLA", "UK", "checking", "1.5%"],
+        )
+        .unwrap()
+        .ids
+        .born
+        .unwrap();
         assert!(born > id0 && born > id3);
         assert_eq!(
             stream.tuple_by_id(interest, born),
@@ -991,8 +1020,8 @@ mod tests {
         for round in 0..4u32 {
             for i in 0..50u32 {
                 let t = tuple![format!("churn{round}_{i}").as_str(), "y"];
-                stream.insert_tuple(src, t.clone()).unwrap();
-                stream.delete_tuple(src, &t).unwrap();
+                insert(&mut stream, src, t.clone()).unwrap();
+                delete(&mut stream, src, &t).unwrap();
             }
             let stats = stream.compact();
             assert!(
@@ -1013,9 +1042,9 @@ mod tests {
         assert_eq!(retained[0], 2);
         // The compacted stream is still a correct delta engine, both for
         // keys it kept and for keys it dropped and re-learns.
-        let noisy = stream.insert_tuple(src, tuple!["resident", "z"]).unwrap();
+        let noisy = insert(&mut stream, src, tuple!["resident", "z"]).unwrap();
         assert_eq!(noisy.cfd.introduced.len(), 1, "{noisy:?}");
-        let back = stream.insert_tuple(src, tuple!["churn0_0", "y"]).unwrap();
+        let back = insert(&mut stream, src, tuple!["churn0_0", "y"]).unwrap();
         assert_eq!(back.cind.introduced.len(), 1, "{back:?}");
         assert_eq!(
             stream.current_report(),
@@ -1070,21 +1099,24 @@ mod tests {
         assert_eq!(stream.position_of(interest, id0), Some(0));
         // The grown stream is still a correct delta engine, including
         // for the freshly added members.
-        let dirty = stream
-            .insert_tuple(interest, tuple!["GLA", "UK", "checking", "9.9%"])
-            .unwrap();
+        let dirty = insert(
+            &mut stream,
+            interest,
+            tuple!["GLA", "UK", "checking", "9.9%"],
+        )
+        .unwrap();
         assert!(!dirty.is_quiet());
         assert_eq!(
             stream.current_report(),
             stream.validator().validate_sorted(stream.db()),
         );
         let saving = stream.db().schema().rel_id("saving").unwrap();
-        stream
-            .delete_tuple(
-                saving,
-                &tuple!["01", "J. Smith", "NYC, 19087", "212-5820844", "NYC"],
-            )
-            .unwrap();
+        delete(
+            &mut stream,
+            saving,
+            &tuple!["01", "J. Smith", "NYC, 19087", "212-5820844", "NYC"],
+        )
+        .unwrap();
         assert_eq!(
             stream.current_report(),
             stream.validator().validate_sorted(stream.db()),
@@ -1129,10 +1161,10 @@ mod tests {
         // The split-out member keeps firing on exactly its own pattern:
         // a new k-conflict reports, a new q-conflict stays quiet.
         let r = stream.db().schema().rel_id("r").unwrap();
-        let noisy = stream.insert_tuple(r, tuple!["k", "v3"]).unwrap();
+        let noisy = insert(&mut stream, r, tuple!["k", "v3"]).unwrap();
         assert_eq!(noisy.cfd.introduced.len(), 1, "{noisy:?}");
         assert!(noisy.cfd.introduced.iter().all(|(i, _)| *i == 1));
-        let quiet = stream.insert_tuple(r, tuple!["q", "w3"]).unwrap();
+        let quiet = insert(&mut stream, r, tuple!["q", "w3"]).unwrap();
         assert!(
             quiet.is_quiet(),
             "retired wildcard must not fire: {quiet:?}"
@@ -1147,7 +1179,7 @@ mod tests {
         assert!(resolved.cfd.iter().all(|(i, _)| *i == 1));
         assert_eq!(stream.violation_count(), 0);
         assert!(stream.retire_dependencies(&[0, 1], &[]).is_empty());
-        let calm = stream.insert_tuple(r, tuple!["k", "v4"]).unwrap();
+        let calm = insert(&mut stream, r, tuple!["k", "v4"]).unwrap();
         assert!(calm.is_quiet(), "{calm:?}");
     }
 
@@ -1191,13 +1223,13 @@ mod tests {
         );
         // c3 is still live through its (shifted) member: a partner
         // arrival resolves its orphan, a departure re-orphans it.
-        let arrival = stream.insert_tuple(dst, tuple!["k"]).unwrap();
+        let arrival = insert(&mut stream, dst, tuple!["k"]).unwrap();
         assert_eq!(
             arrival.cind.resolved,
             vec![(2, arrival.cind.resolved[0].1.clone())]
         );
         assert_eq!(stream.violation_count(), 0);
-        let gone = stream.delete_tuple(dst, &tuple!["k"]).unwrap();
+        let gone = delete(&mut stream, dst, &tuple!["k"]).unwrap();
         assert_eq!(gone.cind.introduced.len(), 1);
         assert!(gone.cind.introduced.iter().all(|(i, _)| *i == 2));
         assert_eq!(
@@ -1230,7 +1262,7 @@ mod tests {
         assert!(back.cfd.iter().all(|(i, _)| *i == 1));
         assert!(stream.validator().is_cfd_retired(0));
         assert!(!stream.validator().is_cfd_retired(1));
-        let noisy = stream.insert_tuple(r, tuple!["k", "v3"]).unwrap();
+        let noisy = insert(&mut stream, r, tuple!["k", "v3"]).unwrap();
         assert_eq!(noisy.cfd.introduced.len(), 1);
         assert_eq!(
             stream.current_report(),

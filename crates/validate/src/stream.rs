@@ -2,12 +2,14 @@
 //!
 //! A [`ValidatorStream`] owns a database plus the live group-by indexes
 //! of a compiled [`Validator`] and maintains the **materialized
-//! violation set** of the evolving database. Every mutation —
-//! [`ValidatorStream::insert_tuple`], [`ValidatorStream::delete_tuple`],
-//! [`ValidatorStream::update_tuple`] — returns a [`SigmaDelta`]: the
-//! violations it *introduced* and the violations it *resolved*
-//! (retraction), in time proportional to the constraint groups and key
-//! groups the mutated tuple touches, never to the database.
+//! violation set** of the evolving database. Every write goes through
+//! one engine loop, [`ValidatorStream::apply_deltas`] over a batch of
+//! value-level [`Mutation`]s ([`ValidatorStream::apply`] is a batch of
+//! one that also hands back the inverse mutation). Each effective
+//! insert or delete yields a [`SigmaDelta`]: the violations it
+//! *introduced* and the violations it *resolved* (retraction), in time
+//! proportional to the constraint groups and key groups the mutated
+//! tuple touches, never to the database.
 //!
 //! ## Invariant
 //!
@@ -33,7 +35,10 @@
 //! against the group's lowest position), so deleting or moving a group
 //! member can relabel a group's pairs: those relabelings appear as
 //! resolved+introduced pairs in the delta, keeping the net state exactly
-//! equal to a fresh batch validation.
+//! equal to a fresh batch validation. The stream keeps its own live set,
+//! so no production code applies this rule; `ShadowReport` in the
+//! workspace's `tests/props.rs` implements it independently as the test
+//! oracle the stream's deltas are checked against.
 //!
 //! ## Complexity contract
 //!
@@ -86,15 +91,14 @@
 //!   [`IdDelta`] reports what was born, retired and moved);
 //! * **batched mutations** — [`ValidatorStream::apply_deltas`]
 //!   symbolizes a whole batch through one interner pass and translates
-//!   keys per `(relation, LHS set)` group from pre-built rows,
-//!   amortizing the dominant per-mutation delta cost;
+//!   keys per `(relation, LHS set)` group from pre-built rows;
 //! * **full compaction** — [`ValidatorStream::compact`] drops emptied
 //!   key groups and rebuilds the interner over live symbols only (the
 //!   dead-strings leak is closed; see [`CompactionStats`] for what was
 //!   reclaimed), all without disturbing live keys, violations or held
 //!   ids.
 
-use crate::telemetry::{MutKind, StreamTelemetry};
+use crate::telemetry::StreamTelemetry;
 use crate::validator::{CfdGroup, CfdMember, SigmaReport, Validator};
 use condep_cfd::{CfdDelta, CfdViolation, NormalCfd};
 use condep_core::{CindDelta, CindViolation, NormalCind};
@@ -144,11 +148,10 @@ pub enum Mutation {
 }
 
 /// What one [`ValidatorStream::apply`] call did: the streamed deltas in
-/// application order, plus the inverse mutation that
-/// [`ValidatorStream::revert`] replays to restore the pre-mutation tuple
-/// set — the retraction primitive repair engines build their
-/// apply → inspect delta → keep-or-roll-back loop on. `revert` is `None`
-/// exactly when the mutation was a no-op.
+/// application order, plus the inverse mutation that, applied in turn,
+/// restores the pre-mutation tuple set — the retraction primitive
+/// repair engines build their apply → inspect delta → keep-or-roll-back
+/// loop on. `revert` is `None` exactly when the mutation was a no-op.
 ///
 /// Reverting restores the database as a *set of tuples* (and therefore
 /// the violation set up to position labels); dense positions may come
@@ -428,77 +431,6 @@ fn sym_key(interner: &Interner, t: &Tuple, attrs: &[AttrId], buf: &mut Vec<SymVa
     }));
 }
 
-impl SigmaReport {
-    /// Applies one streamed delta to a consumer-maintained report,
-    /// implementing the documented consumer rule
-    ///
-    /// ```text
-    /// after = renumber(before − resolved, moved) + introduced
-    /// ```
-    ///
-    /// i.e. the resolved violations (labeled with pre-move positions) are
-    /// removed first, the swap renumbering is applied to what survives,
-    /// and the introduced violations (post-move positions) are added; the
-    /// report is then re-sorted into the canonical order. Feeding every
-    /// delta of a [`ValidatorStream`] through this keeps the report equal
-    /// to [`ValidatorStream::current_report`] at all times.
-    ///
-    /// The `validator` argument resolves each violation's constraint
-    /// index to its relation, so only positions of the renumbered
-    /// relation are touched.
-    pub fn apply_delta(&mut self, validator: &Validator, delta: &SigmaDelta) {
-        if delta.is_quiet() {
-            // The hot path for mutations on clean streams: nothing to
-            // remove, renumber or add.
-            return;
-        }
-        if !delta.cfd.resolved.is_empty() {
-            let rm: HashSet<&(usize, CfdViolation), FxBuildHasher> =
-                delta.cfd.resolved.iter().collect();
-            self.cfd.retain(|v| !rm.contains(v));
-        }
-        if !delta.cind.resolved.is_empty() {
-            let rm: HashSet<&(usize, CindViolation), FxBuildHasher> =
-                delta.cind.resolved.iter().collect();
-            self.cind.retain(|v| !rm.contains(v));
-        }
-        if let Some(mv) = &delta.moved {
-            let renum = |p: &mut usize| {
-                if *p == mv.from {
-                    *p = mv.to;
-                }
-            };
-            for (i, v) in self.cfd.iter_mut() {
-                if validator.cfds()[*i].rel() != mv.rel {
-                    continue;
-                }
-                match v {
-                    CfdViolation::SingleTuple { tuple, .. } => renum(tuple),
-                    CfdViolation::Pair { left, right } => {
-                        renum(left);
-                        renum(right);
-                    }
-                }
-            }
-            for (i, v) in self.cind.iter_mut() {
-                if validator.cinds()[*i].lhs_rel() == mv.rel {
-                    renum(&mut v.tuple);
-                }
-            }
-        }
-        self.cfd.extend(delta.cfd.introduced.iter().cloned());
-        self.cind.extend(delta.cind.introduced.iter().cloned());
-        // Removal alone preserves the canonical order; only a renumber
-        // or an addition can break it.
-        if delta.moved.is_some()
-            || !delta.cfd.introduced.is_empty()
-            || !delta.cind.introduced.is_empty()
-        {
-            self.sort();
-        }
-    }
-}
-
 /// What one [`ValidatorStream::compact`] call reclaimed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CompactionStats {
@@ -634,99 +566,40 @@ impl ValidatorStream {
     /// Builds the live indexes and violation sets from a trusted report.
     fn materialize(validator: Validator, db: Database, report: SigmaReport) -> Self {
         let build_clock = Stopwatch::start();
-        let interner = Interner::from_database(&db);
-        let cfd_indexes = validator
-            .cfd_groups()
-            .iter()
-            .map(|g| {
-                SymIndex::build_filtered_interned(db.relation(g.rel), &g.attrs, &interner, |_| true)
-            })
-            .collect();
-        let cind_targets = validator
-            .cind_groups()
-            .iter()
-            .map(|g| {
-                SymIndex::build_filtered_interned(db.relation(g.rhs_rel), &g.y, &interner, |t| {
-                    g.yp.iter().all(|(a, v)| &t[*a] == v)
-                })
-            })
-            .collect();
-        let cind_sources: Vec<Vec<SymIndex>> = validator
-            .cind_groups()
-            .iter()
-            .map(|g| {
-                g.members
-                    .iter()
-                    .map(|m| {
-                        let cind = &validator.cinds()[m.idx];
-                        SymIndex::build_filtered_interned(
-                            db.relation(cind.lhs_rel()),
-                            &m.x_perm,
-                            &interner,
-                            |t| cind.triggers(t),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        let live_cfd = report.cfd.into_iter().collect();
-        let live_cind = report.cind.into_iter().collect();
-
-        // Dense-seeding convention: the tuple at seed position `p` gets
-        // `TupleId(p)` — what lets external ground truth (e.g. the gen
-        // dirt injector) hand out ids any stream over the same database
-        // resolves.
-        let ids = db
-            .iter()
-            .map(|(_, inst)| TupleIdMap::identity(inst.len()))
-            .collect();
-
-        // The one-pass symbolization layout: per relation, the union of
-        // every group's key attributes, plus each group's slots into it.
-        let sym_attrs = Self::layout_of(&validator, db.schema().len());
-        let (cfd_group_slots, cfd_rhs_slots, cind_y_slots, cind_x_slots) =
-            Self::slot_tables(&validator, &sym_attrs);
-
-        // Seed the resident row cache: `Interner::from_database` has
-        // interned every value of `db`, so this is pure lookups.
-        let sym_rows: Vec<Vec<SymValue>> = db
-            .iter()
-            .map(|(r, inst)| {
-                let attrs = &sym_attrs[r.index()];
-                let mut rows = Vec::with_capacity(inst.len() * attrs.len());
-                for t in inst.iter() {
-                    rows.extend(attrs.iter().map(|a| {
-                        interner
-                            .sym_value(&t[*a])
-                            .expect("seed interner covers the database")
-                    }));
-                }
-                rows
-            })
-            .collect();
-
+        let n_rels = db.schema().len();
         let mut stream = ValidatorStream {
             validator,
-            db,
-            interner,
-            cfd_indexes,
-            cind_targets,
-            cind_sources,
-            live_cfd,
-            live_cind,
-            ids,
-            sym_attrs,
-            sym_rows,
-            cfd_group_slots,
-            cfd_rhs_slots,
-            cind_y_slots,
-            cind_x_slots,
+            interner: Interner::from_database(&db),
+            cfd_indexes: Vec::new(),
+            cind_targets: Vec::new(),
+            cind_sources: Vec::new(),
+            live_cfd: report.cfd.into_iter().collect(),
+            live_cind: report.cind.into_iter().collect(),
+            // Dense-seeding convention: the tuple at seed position `p`
+            // gets `TupleId(p)` — what lets external ground truth (e.g.
+            // the gen dirt injector) hand out ids any stream over the
+            // same database resolves.
+            ids: db
+                .iter()
+                .map(|(_, inst)| TupleIdMap::identity(inst.len()))
+                .collect(),
+            sym_attrs: vec![Vec::new(); n_rels],
+            sym_rows: vec![Vec::new(); n_rels],
+            cfd_group_slots: Vec::new(),
+            cfd_rhs_slots: Vec::new(),
+            cind_y_slots: Vec::new(),
+            cind_x_slots: Vec::new(),
             member_syms: Vec::new(),
             member_syms_gen: 0,
             member_syms_pending: 0,
             telemetry: StreamTelemetry::new(),
+            db,
         };
-        stream.rebuild_member_syms();
+        // From an empty start, the routines that later splice promoted
+        // dependencies in build the layout, row cache and indexes of
+        // the whole suite.
+        stream.grow_layout();
+        stream.build_missing_indexes();
         stream
             .telemetry
             .materialize_us
@@ -782,39 +655,66 @@ impl ValidatorStream {
         sets.into_iter().map(|s| s.into_iter().collect()).collect()
     }
 
-    /// Each group's slots into its relation's symbolized-row layout.
-    #[allow(clippy::type_complexity)]
-    fn slot_tables(
-        validator: &Validator,
-        sym_attrs: &[Vec<AttrId>],
-    ) -> (
-        Vec<Vec<u32>>,
-        Vec<Vec<u32>>,
-        Vec<Vec<u32>>,
-        Vec<Vec<Vec<u32>>>,
-    ) {
+    /// Grows the symbolization layout to the suite's current one,
+    /// re-caching the rows of every relation whose layout changed, then
+    /// refreshes the slot tables. Interning the newly covered cells here
+    /// must precede any index build — filtered index construction
+    /// expects key cells to be interned already.
+    fn grow_layout(&mut self) {
+        let new_sym_attrs = Self::layout_of(&self.validator, self.db.schema().len());
+        let Self {
+            db,
+            interner,
+            sym_rows,
+            sym_attrs,
+            ..
+        } = self;
+        for (rel, inst) in db.iter() {
+            let r = rel.index();
+            if new_sym_attrs[r] == sym_attrs[r] {
+                continue;
+            }
+            let attrs = &new_sym_attrs[r];
+            let mut rows = Vec::with_capacity(inst.len() * attrs.len());
+            for t in inst.iter() {
+                rows.extend(attrs.iter().map(|a| interner.intern_value(&t[*a])));
+            }
+            sym_rows[r] = rows;
+        }
+        self.sym_attrs = new_sym_attrs;
+        self.refresh_slots();
+    }
+
+    /// Recomputes each group's slots into its relation's symbolized-row
+    /// layout and re-translates the member patterns.
+    fn refresh_slots(&mut self) {
+        let Self {
+            validator,
+            sym_attrs,
+            ..
+        } = self;
         let slot_of = |rel: RelId, a: AttrId| -> u32 {
             sym_attrs[rel.index()]
                 .iter()
                 .position(|x| *x == a)
                 .expect("every group key attribute is in its relation's layout") as u32
         };
-        let cfd_group_slots = validator
+        self.cfd_group_slots = validator
             .cfd_groups()
             .iter()
             .map(|g| g.attrs.iter().map(|a| slot_of(g.rel, *a)).collect())
             .collect();
-        let cfd_rhs_slots = validator
+        self.cfd_rhs_slots = validator
             .cfd_groups()
             .iter()
             .map(|g| g.members.iter().map(|m| slot_of(g.rel, m.rhs)).collect())
             .collect();
-        let cind_y_slots = validator
+        self.cind_y_slots = validator
             .cind_groups()
             .iter()
             .map(|g| g.y.iter().map(|a| slot_of(g.rhs_rel, *a)).collect())
             .collect();
-        let cind_x_slots = validator
+        self.cind_x_slots = validator
             .cind_groups()
             .iter()
             .map(|g| {
@@ -830,7 +730,50 @@ impl ValidatorStream {
                     .collect()
             })
             .collect();
-        (cfd_group_slots, cfd_rhs_slots, cind_y_slots, cind_x_slots)
+        self.rebuild_member_syms();
+    }
+
+    /// Builds the live indexes of every group and member that has none
+    /// yet: new groups are appended to the suite and new members to
+    /// their groups, so whatever lies past the built prefix is new.
+    fn build_missing_indexes(&mut self) {
+        let Self {
+            validator,
+            db,
+            interner,
+            cfd_indexes,
+            cind_targets,
+            cind_sources,
+            ..
+        } = self;
+        for g in &validator.cfd_groups()[cfd_indexes.len()..] {
+            cfd_indexes.push(SymIndex::build_filtered_interned(
+                db.relation(g.rel),
+                &g.attrs,
+                interner,
+                |_| true,
+            ));
+        }
+        for (gi, g) in validator.cind_groups().iter().enumerate() {
+            if gi >= cind_targets.len() {
+                cind_targets.push(SymIndex::build_filtered_interned(
+                    db.relation(g.rhs_rel),
+                    &g.y,
+                    interner,
+                    |t| g.yp.iter().all(|(a, v)| &t[*a] == v),
+                ));
+                cind_sources.push(Vec::new());
+            }
+            for m in &g.members[cind_sources[gi].len()..] {
+                let cind = &validator.cinds()[m.idx];
+                cind_sources[gi].push(SymIndex::build_filtered_interned(
+                    db.relation(cind.lhs_rel()),
+                    &m.x_perm,
+                    interner,
+                    |t| cind.triggers(t),
+                ));
+            }
+        }
     }
 
     /// Splices newly-promoted dependencies into the **live** suite,
@@ -841,9 +784,9 @@ impl ValidatorStream {
     /// and only the new members' indexes are built. Returns the new
     /// constraints' violations against the current database — sorted,
     /// indexed by their final Σ indices, and already folded into
-    /// [`ValidatorStream::current_report`] (consumers mirroring the
-    /// report via [`SigmaReport::apply_delta`] should splice them in as
-    /// introduced violations).
+    /// [`ValidatorStream::current_report`] (consumers keeping their own
+    /// copy of the report should splice them in as introduced
+    /// violations).
     pub fn add_dependencies(
         &mut self,
         cfds: Vec<NormalCfd>,
@@ -857,90 +800,9 @@ impl ValidatorStream {
         // spliced members are (uncovered singletons) so the violations
         // transfer index-shifted but otherwise verbatim.
         let sub = Validator::new_uncovered(cfds.clone(), cinds.clone());
-        let old_cfd_groups = self.validator.cfd_groups().len();
-        let old_cind_members: Vec<usize> = self
-            .validator
-            .cind_groups()
-            .iter()
-            .map(|g| g.members.len())
-            .collect();
         let (cfd_range, cind_range) = self.validator.add_dependencies(cfds, cinds);
-
-        // Grow the symbolization layout, re-caching the rows of every
-        // relation whose layout changed. Interning the newly covered
-        // cells must happen before any index build below — filtered
-        // index construction expects key cells to be interned already.
-        let new_sym_attrs = Self::layout_of(&self.validator, self.db.schema().len());
-        {
-            let Self {
-                db,
-                interner,
-                sym_rows,
-                sym_attrs,
-                ..
-            } = self;
-            for (rel, inst) in db.iter() {
-                let r = rel.index();
-                if new_sym_attrs[r] == sym_attrs[r] {
-                    continue;
-                }
-                let attrs = &new_sym_attrs[r];
-                let mut rows = Vec::with_capacity(inst.len() * attrs.len());
-                for t in inst.iter() {
-                    rows.extend(attrs.iter().map(|a| interner.intern_value(&t[*a])));
-                }
-                sym_rows[r] = rows;
-            }
-        }
-        self.sym_attrs = new_sym_attrs;
-        let (a, b, c, d) = Self::slot_tables(&self.validator, &self.sym_attrs);
-        self.cfd_group_slots = a;
-        self.cfd_rhs_slots = b;
-        self.cind_y_slots = c;
-        self.cind_x_slots = d;
-        self.rebuild_member_syms();
-
-        // Live indexes for the spliced groups and members.
-        {
-            let Self {
-                validator,
-                db,
-                interner,
-                cfd_indexes,
-                cind_targets,
-                cind_sources,
-                ..
-            } = self;
-            for g in &validator.cfd_groups()[old_cfd_groups..] {
-                cfd_indexes.push(SymIndex::build_filtered_interned(
-                    db.relation(g.rel),
-                    &g.attrs,
-                    interner,
-                    |_| true,
-                ));
-            }
-            for (gi, g) in validator.cind_groups().iter().enumerate() {
-                if gi >= cind_targets.len() {
-                    cind_targets.push(SymIndex::build_filtered_interned(
-                        db.relation(g.rhs_rel),
-                        &g.y,
-                        interner,
-                        |t| g.yp.iter().all(|(a, v)| &t[*a] == v),
-                    ));
-                    cind_sources.push(Vec::new());
-                }
-                let start = old_cind_members.get(gi).copied().unwrap_or(0);
-                for m in &g.members[start..] {
-                    let cind = &validator.cinds()[m.idx];
-                    cind_sources[gi].push(SymIndex::build_filtered_interned(
-                        db.relation(cind.lhs_rel()),
-                        &m.x_perm,
-                        interner,
-                        |t| cind.triggers(t),
-                    ));
-                }
-            }
-        }
+        self.grow_layout();
+        self.build_missing_indexes();
 
         let mut report = sub.validate_sorted(&self.db);
         for (i, _) in report.cfd.iter_mut() {
@@ -959,7 +821,7 @@ impl ValidatorStream {
     /// Retires dependencies from the live suite (see
     /// [`Validator::retire_dependencies`]): their violations leave the
     /// live state and are returned — sorted, as the resolutions a
-    /// report mirror should apply. Indices stay allocated; later
+    /// consumer keeping its own copy of the report should apply. Indices stay allocated; later
     /// [`ValidatorStream::add_dependencies`] calls append fresh ones.
     pub fn retire_dependencies(&mut self, cfd_idxs: &[usize], cind_idxs: &[usize]) -> SigmaReport {
         let log = self.validator.retire_dependencies(cfd_idxs, cind_idxs);
@@ -974,12 +836,7 @@ impl ValidatorStream {
         // The symbolization layout stays a (possibly proper) superset of
         // what the surviving groups need — keeping it avoids re-caching
         // any rows, and the slot tables still resolve every attribute.
-        let (a, b, c, d) = Self::slot_tables(&self.validator, &self.sym_attrs);
-        self.cfd_group_slots = a;
-        self.cfd_rhs_slots = b;
-        self.cind_y_slots = c;
-        self.cind_x_slots = d;
-        self.rebuild_member_syms();
+        self.refresh_slots();
 
         let mut resolved = SigmaReport::default();
         let retired: HashSet<usize> = log.cfds.iter().copied().collect();
@@ -1219,10 +1076,16 @@ impl ValidatorStream {
         self.live_cfd.len() + self.live_cind.len()
     }
 
-    /// Validates and inserts one tuple, returning the violations it
-    /// introduces **and** the violations it resolves (an arriving CIND
-    /// target tuple supplies the partner its orphaned source tuples were
-    /// missing). An already-present tuple is a no-op: instances are sets.
+    /// Outstanding violations per kind, as `(cfd, cind)`.
+    pub fn violation_counts(&self) -> (usize, usize) {
+        (self.live_cfd.len(), self.live_cind.len())
+    }
+
+    /// The insert engine: inserts one tuple, returning the violations
+    /// it introduces **and** the violations it resolves (an arriving
+    /// CIND target tuple supplies the partner its orphaned source tuples
+    /// were missing). An already-present tuple is a no-op (no id is
+    /// born): instances are sets.
     ///
     /// Semantics per constraint kind:
     ///
@@ -1236,28 +1099,11 @@ impl ValidatorStream {
     /// * CIND (target role) — never *creates* a violation; if the tuple
     ///   carries a key no target held before, every orphaned source
     ///   tuple with that key is **resolved**.
-    pub fn insert_tuple(&mut self, rel: RelId, t: Tuple) -> Result<SigmaDelta, ModelError> {
-        let span = SpanTimer::start(&self.telemetry.mutation_us);
-        let groups0 = self.telemetry.probes_total();
-        self.db.check_tuple(rel, &t)?;
-        let row = self.sym_row_intern(rel, &t);
-        // Interning may have made a pending member pattern translatable;
-        // matching below is sym-space, so refresh first (O(1) when
-        // nothing is pending).
-        self.refresh_member_syms();
-        let delta = self.insert_inner(rel, t, &row)?;
-        span.stop();
-        // A resident tuple allocates no id: that is the no-op signal.
-        let effective = delta.ids.born.is_some();
-        self.telemetry
-            .record_single(MutKind::Insert, effective.then_some(&delta), groups0);
-        Ok(delta)
-    }
-
-    /// The insert engine. `row` is the tuple's pre-symbolized key-cell
-    /// row ([`ValidatorStream::sym_row_intern`]): group keys are `Copy`
-    /// slot reads and member matching is a word compare against the
-    /// cached pattern symbols — no string is hashed per group.
+    ///
+    /// `row` is the tuple's pre-symbolized key-cell row
+    /// ([`ValidatorStream::sym_row_intern`]): group keys are `Copy` slot
+    /// reads and member matching is a word compare against the cached
+    /// pattern symbols — no string is hashed per group.
     fn insert_inner(
         &mut self,
         rel: RelId,
@@ -1439,22 +1285,11 @@ impl ValidatorStream {
         Ok(delta)
     }
 
-    /// Deletes one tuple by value, returning the violations that
-    /// disappear with it, the violations its absence introduces
-    /// (orphaned CIND sources, relabeled pair witnesses), and the swap
-    /// renumbering ([`SigmaDelta::moved`]). `None` when the tuple is not
-    /// present.
-    pub fn delete_tuple(&mut self, rel: RelId, t: &Tuple) -> Option<SigmaDelta> {
-        let span = SpanTimer::start(&self.telemetry.mutation_us);
-        let groups0 = self.telemetry.probes_total();
-        let delta = self.delete_inner(rel, t);
-        span.stop();
-        self.telemetry
-            .record_single(MutKind::Delete, delta.as_ref(), groups0);
-        delta
-    }
-
-    /// The delete engine. The tuple's (and the moved tuple's)
+    /// The delete engine: deletes one tuple by value, returning the
+    /// violations that disappear with it, the violations its absence
+    /// introduces (orphaned CIND sources, relabeled pair witnesses), and
+    /// the swap renumbering ([`SigmaDelta::moved`]); `None` when the
+    /// tuple is not present. The tuple's (and the moved tuple's)
     /// pre-symbolized key-cell rows come straight out of the resident
     /// row cache — no string is hashed through the interner anywhere on
     /// the delete path.
@@ -1975,110 +1810,33 @@ impl ValidatorStream {
         Some(delta)
     }
 
-    /// Replaces `old` by `new` in relation `rel`: a delete followed by an
-    /// insert, returned as the two deltas in application order (see the
-    /// module docs for how each applies). `Ok(None)` when `old` is not
-    /// present; the replacement is type-checked **before** the delete, so
-    /// an error leaves the stream untouched.
-    pub fn update_tuple(
-        &mut self,
-        rel: RelId,
-        old: &Tuple,
-        new: Tuple,
-    ) -> Result<Option<(SigmaDelta, SigmaDelta)>, ModelError> {
-        self.db.check_tuple(rel, &new)?;
-        if old == &new {
-            // No-op replacement: skip the delete/insert churn (and its
-            // mutually cancelling deltas) entirely.
-            return Ok(self
-                .db
-                .relation(rel)
-                .contains(old)
-                .then(|| (SigmaDelta::default(), SigmaDelta::default())));
-        }
-        let Some(deleted) = self.delete_tuple(rel, old) else {
-            return Ok(None);
-        };
-        let inserted = self.insert_tuple(rel, new)?;
-        Ok(Some((deleted, inserted)))
-    }
-
-    /// Applies one value-level [`Mutation`], returning the streamed
-    /// deltas **and** the inverse mutation ([`Applied::revert`]) that
-    /// restores the pre-mutation tuple set. No-ops (inserting a resident
-    /// tuple, deleting or updating an absent one, `old == new`) return an
-    /// empty [`Applied`] with `revert: None`.
+    /// Applies one value-level [`Mutation`] through
+    /// [`ValidatorStream::apply_deltas`], returning the streamed deltas
+    /// **and** the inverse mutation ([`Applied::revert`]) that restores
+    /// the pre-mutation tuple set. No-ops (inserting a resident tuple,
+    /// deleting or updating an absent one, `old == new`) return an empty
+    /// [`Applied`] with `revert: None`.
     ///
     /// An update whose `new` tuple already resides in the relation
-    /// degenerates to a deletion of `old` (set semantics merge the two);
-    /// its revert is the re-insertion of `old`, **not** a deletion of the
-    /// pre-existing `new`.
+    /// degenerates to a deletion of `old` (set semantics merge the two,
+    /// so it streams one delta instead of two); its revert is the
+    /// re-insertion of `old`, **not** a deletion of the pre-existing
+    /// `new`.
     pub fn apply(&mut self, m: Mutation) -> Result<Applied, ModelError> {
-        const NOOP: Applied = Applied {
-            deltas: Vec::new(),
-            revert: None,
+        let deltas = self.apply_deltas(std::slice::from_ref(&m))?;
+        let revert = match (m, deltas.len()) {
+            (_, 0) => None,
+            (Mutation::Insert { rel, tuple }, _) => Some(Mutation::Delete { rel, tuple }),
+            (Mutation::Delete { rel, tuple }, _) => Some(Mutation::Insert { rel, tuple }),
+            (Mutation::Update { rel, old, new }, 2) => Some(Mutation::Update {
+                rel,
+                old: new,
+                new: old,
+            }),
+            // One delta: the update merged into a deletion of `old`.
+            (Mutation::Update { rel, old, .. }, _) => Some(Mutation::Insert { rel, tuple: old }),
         };
-        match m {
-            Mutation::Insert { rel, tuple } => {
-                if self.db.relation(rel).contains(&tuple) {
-                    return Ok(NOOP);
-                }
-                let delta = self.insert_tuple(rel, tuple.clone())?;
-                Ok(Applied {
-                    deltas: vec![delta],
-                    revert: Some(Mutation::Delete { rel, tuple }),
-                })
-            }
-            Mutation::Delete { rel, tuple } => match self.delete_tuple(rel, &tuple) {
-                None => Ok(NOOP),
-                Some(delta) => Ok(Applied {
-                    deltas: vec![delta],
-                    revert: Some(Mutation::Insert { rel, tuple }),
-                }),
-            },
-            Mutation::Update { rel, old, new } => {
-                self.db.check_tuple(rel, &new)?;
-                if old == new || !self.db.relation(rel).contains(&old) {
-                    return Ok(NOOP);
-                }
-                if self.db.relation(rel).contains(&new) {
-                    // Set semantics: the edit collapses `old` into the
-                    // resident `new` — a pure deletion, reverted by
-                    // re-inserting `old` (the resident tuple predates the
-                    // mutation and must survive the revert).
-                    let delta = self.delete_tuple(rel, &old).expect("presence just checked");
-                    return Ok(Applied {
-                        deltas: vec![delta],
-                        revert: Some(Mutation::Insert { rel, tuple: old }),
-                    });
-                }
-                let (d1, d2) = self
-                    .update_tuple(rel, &old, new.clone())?
-                    .expect("presence just checked");
-                Ok(Applied {
-                    deltas: vec![d1, d2],
-                    revert: Some(Mutation::Update {
-                        rel,
-                        old: new,
-                        new: old,
-                    }),
-                })
-            }
-        }
-    }
-
-    /// Replays the inverse mutation of an [`Applied`] — the retraction
-    /// half of the apply → inspect delta → keep-or-roll-back loop. The
-    /// returned deltas mirror the original's (resolved and introduced
-    /// swap roles, modulo position relabeling) and must still be consumed
-    /// by any delta-maintained state.
-    pub fn revert(&mut self, revert: Mutation) -> Result<Applied, ModelError> {
-        let applied = self.apply(revert)?;
-        debug_assert!(
-            !applied.is_noop(),
-            "reverting an applied mutation cannot be a no-op"
-        );
-        Ok(applied)
+        Ok(Applied { deltas, revert })
     }
 
     /// Symbolizes a tuple's key-attribute cells in one pass, interning
@@ -2095,32 +1853,22 @@ impl ValidatorStream {
             .collect()
     }
 
-    /// Applies a whole batch of value-level [`Mutation`]s, returning the
-    /// streamed deltas **in application order** — exactly the
-    /// concatenation of what per-mutation [`ValidatorStream::apply`]
-    /// calls would return (an update contributes its delete and insert
-    /// deltas, a merge-degenerate update one delete delta, a no-op
-    /// nothing), so `current_report()` still equals a fresh batch sweep
-    /// after every batch.
+    /// Applies a batch of value-level [`Mutation`]s — the stream's one
+    /// engine loop ([`ValidatorStream::apply`] is a batch of one) —
+    /// returning the streamed deltas **in application order**: an
+    /// insert or delete contributes one delta, an update its delete and
+    /// insert deltas (one delete delta when `new` was already resident
+    /// and the two merge), a no-op nothing. `current_report()` equals a
+    /// fresh batch sweep after every batch.
     ///
-    /// What makes it cheaper than the mutation-at-a-time loop:
-    ///
-    /// * **one interner pass** — every arriving tuple's key cells are
-    ///   symbolized once up front (and the cached member-pattern symbol
-    ///   translations refreshed once), instead of once per constraint
-    ///   group per mutation;
-    /// * **grouped key translation** — per `(relation, LHS set)` group,
-    ///   keys are `Copy` slot reads out of the pre-built row and member
-    ///   matching is a word compare, with no string hashed anywhere in
-    ///   the per-group work;
-    /// * **at most one probe per touched key group** — the group's pair
-    ///   witness is looked up once and shared across all its wildcard
-    ///   members (deletes resolve their groups probe-free through the
-    ///   index's per-position slot records).
+    /// Every arriving tuple's key cells are symbolized in one interner
+    /// pass up front (and the cached member-pattern translations
+    /// refreshed once); per `(relation, LHS set)` group, keys are then
+    /// `Copy` slot reads out of the pre-built row and member matching is
+    /// a word compare, so no string is hashed in the per-group work.
     ///
     /// The whole batch is type-checked first: an ill-typed mutation
-    /// returns the error with **nothing** applied (unlike a sequential
-    /// `apply` loop, which would stop half-way).
+    /// returns the error with **nothing** applied.
     pub fn apply_deltas(&mut self, muts: &[Mutation]) -> Result<Vec<SigmaDelta>, ModelError> {
         let span = SpanTimer::start(&self.telemetry.window_us);
         let groups0 = self.telemetry.probes_total();
@@ -2148,7 +1896,9 @@ impl ValidatorStream {
         // intra-batch interactions (insert then delete, merging updates)
         // resolve exactly as they would sequentially.
         let mut out = Vec::with_capacity(muts.len());
+        let mut noops = 0;
         for (m, row) in muts.iter().zip(&arriving) {
+            let emitted = out.len();
             match m {
                 Mutation::Insert { rel, tuple } => {
                     // No pre-membership probe: `insert_inner` detects the
@@ -2164,10 +1914,9 @@ impl ValidatorStream {
                         out.push(d);
                     }
                 }
-                Mutation::Update { rel, old, new } => {
-                    if old == new || !self.db.relation(*rel).contains(old) {
-                        continue;
-                    }
+                Mutation::Update { rel, old, new }
+                    if old != new && self.db.relation(*rel).contains(old) =>
+                {
                     let merged = self.db.relation(*rel).contains(new);
                     out.push(self.delete_inner(*rel, old).expect("presence just checked"));
                     if !merged {
@@ -2175,10 +1924,13 @@ impl ValidatorStream {
                         out.push(self.insert_inner(*rel, new.clone(), row)?);
                     }
                 }
+                Mutation::Update { .. } => {}
             }
+            noops += (out.len() == emitted) as u64;
         }
         span.stop();
-        self.telemetry.record_window(&out, groups0);
+        let applied = muts.len() as u64 - noops;
+        self.telemetry.record_window(&out, applied, noops, groups0);
         Ok(out)
     }
 

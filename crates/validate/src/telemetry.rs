@@ -17,14 +17,13 @@
 //! | Name | Kind | Meaning |
 //! |---|---|---|
 //! | `stream.materialize_us` | histogram | index/cache build time of the seed database |
-//! | `stream.apply.mutation_us` | histogram | one single-mutation call (`insert_tuple`/`delete_tuple`; an update is its delete + insert) |
-//! | `stream.apply.window_us` | histogram | one `apply_deltas` batch |
-//! | `stream.apply.windows` | counter | `apply_deltas` calls |
+//! | `stream.apply.window_us` | histogram | one `apply_deltas` batch (an `apply` call is a batch of one) |
+//! | `stream.apply.windows` | counter | `apply_deltas` calls, `apply` included |
 //! | `stream.compact_us` | histogram | one `compact()` pass |
 //! | `stream.compactions` | counter | `compact()` calls |
 //! | `stream.mutations.inserts` | counter | effective tuple arrivals |
 //! | `stream.mutations.deletes` | counter | effective tuple removals |
-//! | `stream.mutations.noops` | counter | mutations that changed nothing |
+//! | `stream.mutations.noops` | counter | mutations that changed nothing (resident insert, absent delete or update, `old == new`) |
 //! | `stream.probes.hash` | counter | key-group lookups that hashed a key |
 //! | `stream.probes.slot` | counter | key-group lookups served probe-free by a slot record |
 //! | `stream.pairs.fast_path` | counter | delete-side pair settlements that stayed `O(1)` (witness survived) |
@@ -42,15 +41,6 @@ use condep_telemetry::{
 /// ([`StreamTelemetry::set_journal_capacity`] rebounds it at runtime).
 const JOURNAL_CAPACITY: usize = 256;
 
-/// Which primitive a single-mutation call performed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum MutKind {
-    /// `insert_tuple`.
-    Insert,
-    /// `delete_tuple`.
-    Delete,
-}
-
 /// Per-stream instrumentation: a private registry, pre-resolved
 /// handles, and the bounded activity journal.
 ///
@@ -63,7 +53,6 @@ pub struct StreamTelemetry {
     registry: Registry,
     journal: Journal,
     pub(crate) materialize_us: Histogram,
-    pub(crate) mutation_us: Histogram,
     pub(crate) window_us: Histogram,
     pub(crate) compact_us: Histogram,
     pub(crate) windows: Counter,
@@ -83,7 +72,6 @@ impl StreamTelemetry {
     fn with_registry(registry: Registry) -> Self {
         StreamTelemetry {
             materialize_us: registry.histogram("stream.materialize_us"),
-            mutation_us: registry.histogram("stream.apply.mutation_us"),
             window_us: registry.histogram("stream.apply.window_us"),
             compact_us: registry.histogram("stream.compact_us"),
             windows: registry.counter("stream.apply.windows"),
@@ -154,65 +142,27 @@ impl StreamTelemetry {
         self.window_us.snapshot()
     }
 
-    /// Latency distribution of single-mutation calls.
-    pub fn mutation_latency(&self) -> HistogramSnapshot {
-        self.mutation_us.snapshot()
-    }
-
-    /// Share of key-group lookups served probe-free by slot records
-    /// (`probes.slot / (probes.slot + probes.hash)`); `None` before any
-    /// lookup.
-    pub fn probe_cache_hit_rate(&self) -> Option<f64> {
-        let slot = self.slot_probes.get();
-        let total = slot + self.hash_probes.get();
-        (total > 0).then(|| slot as f64 / total as f64)
-    }
-
     /// Key-group lookups so far, both flavors — the "groups touched"
-    /// baseline a wrapper diffs around a mutation or window.
+    /// baseline a window diffs against.
     pub(crate) fn probes_total(&self) -> u64 {
         self.hash_probes.get() + self.slot_probes.get()
     }
 
-    /// Books one single-mutation call: counters, plus a
-    /// window-of-one journal event when the mutation was effective.
-    /// `groups0` is [`probes_total`](Self::probes_total) from before
-    /// the call.
-    pub(crate) fn record_single(
+    /// Books one `apply_deltas` window over its emitted deltas: `applied`
+    /// mutations changed the tuple set (an unmerged update is one
+    /// mutation but two deltas), `noops` changed nothing.
+    pub(crate) fn record_window(
         &mut self,
-        kind: MutKind,
-        delta: Option<&SigmaDelta>,
+        deltas: &[SigmaDelta],
+        applied: u64,
+        noops: u64,
         groups0: u64,
     ) {
         if !self.is_enabled() {
             return;
         }
-        let Some(delta) = delta else {
-            self.noops.incr();
-            return;
-        };
-        match kind {
-            MutKind::Insert => self.inserts.incr(),
-            MutKind::Delete => self.deletes.incr(),
-        }
-        let introduced = (delta.cfd.introduced.len() + delta.cind.introduced.len()) as u32;
-        let resolved = (delta.cfd.resolved.len() + delta.cind.resolved.len()) as u32;
-        self.introduced.add(introduced as u64);
-        self.resolved.add(resolved as u64);
-        self.journal.push(StreamEvent::Window {
-            mutations: 1,
-            groups_touched: (self.probes_total() - groups0) as u32,
-            introduced,
-            resolved,
-        });
-    }
-
-    /// Books one `apply_deltas` window over its emitted deltas.
-    pub(crate) fn record_window(&mut self, deltas: &[SigmaDelta], groups0: u64) {
-        if !self.is_enabled() {
-            return;
-        }
         self.windows.incr();
+        self.noops.add(noops);
         let mut introduced = 0u64;
         let mut resolved = 0u64;
         let mut inserts = 0u64;
@@ -228,7 +178,7 @@ impl StreamTelemetry {
         self.introduced.add(introduced);
         self.resolved.add(resolved);
         self.journal.push(StreamEvent::Window {
-            mutations: deltas.len() as u32,
+            mutations: applied as u32,
             groups_touched: (self.probes_total() - groups0) as u32,
             introduced: introduced as u32,
             resolved: resolved as u32,

@@ -7,7 +7,7 @@
 
 use condep_cfd::NormalCfd;
 use condep_model::{tuple, Database, Domain, PValue, PatternRow, Schema, Tuple};
-use condep_validate::{Validator, ValidatorStream};
+use condep_validate::{Mutation, Validator, ValidatorStream};
 use std::sync::Arc;
 
 fn stream_with_tuples(n: usize) -> ValidatorStream {
@@ -44,7 +44,7 @@ fn journal_capacity_defaults_to_256_and_rebounds_at_runtime() {
     // 300 effective inserts: the default ring forgets the oldest 44.
     for i in 0..300usize {
         let t: Tuple = tuple![format!("n{i}").as_str(), "v"];
-        stream.insert_tuple(rel, t).unwrap();
+        stream.apply(Mutation::Insert { rel, tuple: t }).unwrap();
     }
     assert_eq!(stream.telemetry().journal().total(), 300);
     assert_eq!(stream.telemetry().journal().len(), 256);
@@ -54,7 +54,7 @@ fn journal_capacity_defaults_to_256_and_rebounds_at_runtime() {
     stream.set_journal_capacity(1024);
     for i in 300..400usize {
         let t: Tuple = tuple![format!("n{i}").as_str(), "v"];
-        stream.insert_tuple(rel, t).unwrap();
+        stream.apply(Mutation::Insert { rel, tuple: t }).unwrap();
     }
     let journal = stream.telemetry().journal();
     assert_eq!(journal.capacity(), 1024);

@@ -539,7 +539,10 @@ proptest! {
 
 /// An externally maintained violation state, updated **only** from
 /// streamed [`condep::validate::SigmaDelta`]s by the documented consumer
-/// rule: `after = renumber(before − resolved, moved) + introduced`.
+/// rule: `after = renumber(before − resolved, moved) + introduced`. No
+/// production code applies the rule (the stream keeps its own live
+/// set), so this is the independent oracle the stream's deltas are
+/// checked against.
 struct ShadowReport {
     cfd: Vec<(usize, condep::cfd::CfdViolation)>,
     cind: Vec<(usize, condep::cind::CindViolation)>,
@@ -605,6 +608,58 @@ impl ShadowReport {
         };
         report.sort();
         report
+    }
+}
+
+/// The consumer rule on a fixed mixed sequence over the paper's bank
+/// instance: feed every delta through [`ShadowReport`] and compare with
+/// the stream's own materialization after each step (a low-position
+/// delete exercises the swap renumber).
+#[test]
+fn shadow_report_tracks_current_report_across_mutations() {
+    use condep::cfd::{fixtures as cfd_fx, normalize::normalize_all as normalize_cfds};
+    use condep::cind::{fixtures as cind_fx, normalize::normalize_all as normalize_cinds};
+    use condep::model::{fixtures::bank_database, tuple};
+    use condep::validate::{Mutation, Validator, ValidatorStream};
+
+    let v = Validator::new(
+        normalize_cfds(&[cfd_fx::phi1(), cfd_fx::phi2(), cfd_fx::phi3()]),
+        normalize_cinds(&cind_fx::figure_2()),
+    );
+    let (mut stream, initial) = ValidatorStream::new_validated(v.clone(), bank_database());
+    let mut shadow = ShadowReport::from_report(&initial);
+    let interest = stream.db().schema().rel_id("interest").unwrap();
+    let saving = stream.db().schema().rel_id("saving").unwrap();
+    let mutations = [
+        Mutation::Insert {
+            rel: interest,
+            tuple: tuple!["GLA", "UK", "checking", "9.9%"],
+        },
+        Mutation::Delete {
+            rel: interest,
+            tuple: tuple!["EDI", "UK", "checking", "10.5%"],
+        },
+        Mutation::Update {
+            rel: interest,
+            old: tuple!["GLA", "UK", "checking", "9.9%"],
+            new: tuple!["GLA", "UK", "checking", "1.5%"],
+        },
+        Mutation::Delete {
+            rel: saving,
+            tuple: tuple!["01", "J. Smith", "NYC, 19087", "212-5820844", "NYC"],
+        },
+    ];
+    for m in mutations {
+        let applied = stream.apply(m.clone()).unwrap();
+        assert!(!applied.is_noop(), "mutation must not be a no-op: {m:?}");
+        for delta in &applied.deltas {
+            shadow.apply(&v, delta);
+        }
+        assert_eq!(
+            shadow.sorted(),
+            stream.current_report(),
+            "consumer rule diverged after {m:?}"
+        );
     }
 }
 
@@ -810,9 +865,14 @@ fn stream_deltas_agree_with_batch_validation_on_random_sequences() {
                 }
             } else if roll < 7 {
                 let rel = if rng.gen_bool(0.7) { r } else { s };
-                let t = random_tuple(&mut rng, rel);
-                let delta = stream.insert_tuple(rel, t).unwrap();
-                shadow.apply(&oracle, &delta);
+                let tuple = random_tuple(&mut rng, rel);
+                for delta in &stream
+                    .apply(Mutation::Insert { rel, tuple })
+                    .unwrap()
+                    .deltas
+                {
+                    shadow.apply(&oracle, delta);
+                }
                 mutations += 1;
             } else if roll < 10 {
                 let rel = if rng.gen_bool(0.7) { r } else { s };
@@ -826,8 +886,11 @@ fn stream_deltas_agree_with_batch_validation_on_random_sequences() {
                     .get(rng.gen_range(0..len))
                     .unwrap()
                     .clone();
-                let delta = stream.delete_tuple(rel, &t).expect("tuple is present");
-                shadow.apply(&oracle, &delta);
+                let applied = stream.apply(Mutation::Delete { rel, tuple: t }).unwrap();
+                assert!(!applied.is_noop(), "tuple is present");
+                for delta in &applied.deltas {
+                    shadow.apply(&oracle, delta);
+                }
                 mutations += 1;
             } else {
                 let rel = if rng.gen_bool(0.7) { r } else { s };
@@ -842,12 +905,13 @@ fn stream_deltas_agree_with_batch_validation_on_random_sequences() {
                     .unwrap()
                     .clone();
                 let new = random_tuple(&mut rng, rel);
-                let (del, ins) = stream
-                    .update_tuple(rel, &old, new)
+                for delta in &stream
+                    .apply(Mutation::Update { rel, old, new })
                     .unwrap()
-                    .expect("tuple is present");
-                shadow.apply(&oracle, &del);
-                shadow.apply(&oracle, &ins);
+                    .deltas
+                {
+                    shadow.apply(&oracle, delta);
+                }
                 mutations += 1;
             }
             if step % 9 == 4 {
@@ -1134,12 +1198,15 @@ fn cover_compiled_stream_matches_uncovered_on_random_sequences() {
                 }
             } else if roll < 6 {
                 let rel = if rng.gen_bool(0.7) { r } else { s };
-                let t = random_tuple(&mut rng, rel);
-                let cov_delta = cov_stream.insert_tuple(rel, t.clone()).unwrap();
-                let unc_delta = unc_stream.insert_tuple(rel, t).unwrap();
+                let m = Mutation::Insert {
+                    rel,
+                    tuple: random_tuple(&mut rng, rel),
+                };
+                let cov_deltas = cov_stream.apply(m.clone()).unwrap().deltas;
+                let unc_deltas = unc_stream.apply(m).unwrap().deltas;
                 assert_eq!(
-                    norm(cov_delta),
-                    norm(unc_delta),
+                    cov_deltas.into_iter().map(norm).collect::<Vec<_>>(),
+                    unc_deltas.into_iter().map(norm).collect::<Vec<_>>(),
                     "seed {seed} step {step}: insert deltas diverged"
                 );
                 mutations += 1;
@@ -1155,11 +1222,13 @@ fn cover_compiled_stream_matches_uncovered_on_random_sequences() {
                     .get(rng.gen_range(0..len))
                     .unwrap()
                     .clone();
-                let cov_delta = cov_stream.delete_tuple(rel, &t).expect("tuple is present");
-                let unc_delta = unc_stream.delete_tuple(rel, &t).expect("tuple is present");
+                let m = Mutation::Delete { rel, tuple: t };
+                let cov_deltas = cov_stream.apply(m.clone()).unwrap().deltas;
+                let unc_deltas = unc_stream.apply(m).unwrap().deltas;
+                assert_eq!(cov_deltas.len(), 1, "tuple is present");
                 assert_eq!(
-                    norm(cov_delta),
-                    norm(unc_delta),
+                    cov_deltas.into_iter().map(norm).collect::<Vec<_>>(),
+                    unc_deltas.into_iter().map(norm).collect::<Vec<_>>(),
                     "seed {seed} step {step}: delete deltas diverged"
                 );
                 mutations += 1;
